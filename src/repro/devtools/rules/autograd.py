@@ -15,9 +15,10 @@ listed there silently drops gradients — the bug class this rule exists
 for.  Checks, per ``Tensor._result`` call:
 
 * a backward closure is passed (4th argument) and is defined locally;
-* every receiver of ``._accumulate(...)`` inside that closure appears in
-  the parents tuple — directly by name, or as a loop variable drawn
-  (possibly via ``zip``) from a collection passed as ``tuple(coll)``.
+* every receiver of ``._accumulate(...)`` or ``._accumulate_region(...)``
+  inside that closure appears in the parents tuple — directly by name,
+  or as a loop variable drawn (possibly via ``zip``) from a collection
+  passed as ``tuple(coll)``.
 
 Registry consistency: every *differentiable* implementation registered
 in the op table (``config.ops_module``, parsed via
@@ -96,12 +97,17 @@ def _loop_sources(backward_node) -> dict:
     return sources
 
 
+#: The tape's accumulation entry points: whole-tensor and basic-index region.
+_ACCUMULATORS = frozenset({"_accumulate", "_accumulate_region"})
+
+
 def _accumulate_receivers(backward_node):
-    """Yield (name, lineno) for every ``name._accumulate(...)`` call."""
+    """Yield (name, lineno) for every ``name._accumulate(...)`` or
+    ``name._accumulate_region(...)`` call."""
     for node in ast.walk(backward_node):
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_accumulate"
+                and node.func.attr in _ACCUMULATORS
                 and isinstance(node.func.value, ast.Name)):
             yield node.func.value.id, node.lineno
 

@@ -56,7 +56,13 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) with bias correction and decoupled weight decay."""
+    """Adam (Kingma & Ba) with bias correction and decoupled weight decay.
+
+    The moments are one flat buffer each.  A step runs its elementwise
+    math once over the concatenated grads of the live parameters (those
+    holding a grad), then subtracts each parameter's slice of the update;
+    parameters without a grad keep their moments untouched.
+    """
 
     def __init__(self, params, lr: float = 1e-3, betas: tuple = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0):
@@ -64,27 +70,45 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._sizes = np.array([p.data.size for p in self.params])
+        dtype = np.result_type(*(p.data.dtype for p in self.params))
+        self._m = np.zeros(int(self._sizes.sum()), dtype=dtype)
+        self._v = np.zeros_like(self._m)
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
+        live = [p.grad is not None and p.requires_grad for p in self.params]
+        params = [p for p, on in zip(self.params, live) if on]
+        if not params:
+            return
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None or not p.requires_grad:
-                continue
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= self.lr * update
+        g = np.concatenate([p.grad for p in params], axis=None)
+        partial = len(params) < len(self.params)
+        if partial:
+            mask = np.repeat(live, self._sizes)
+            m, v = self._m[mask], self._v[mask]
+        else:
+            m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        if partial:
+            self._m[mask] = m
+            self._v[mask] = v
+        update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        if self.weight_decay:
+            update += self.weight_decay * np.concatenate(
+                [p.data for p in params], axis=None)
+        update *= self.lr
+        offset = 0
+        for p in params:
+            size = p.data.size
+            p.data -= update[offset:offset + size].reshape(p.data.shape)
+            offset += size
 
 
 def clip_grad_norm(params, max_norm: float) -> float:

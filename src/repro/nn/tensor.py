@@ -15,6 +15,14 @@ Design notes
   optional gradient.
 * Each differentiable operation returns a new tensor holding a ``_backward``
   closure that accumulates into its parents' ``grad`` buffers.
+* Gradient buffers are accumulated in place once a tensor owns one
+  (``_owns_grad``): a non-leaf's first gradient aliases the incoming
+  array, its second allocates the sum, later ones add into that sum.  A
+  leaf always copies its first gradient, since optimizers and
+  :func:`~repro.nn.optim.clip_grad_norm` update leaf grads in place.
+  ``backward`` frees each non-leaf's grad once its closure has consumed
+  it.  Every grad receives its contributions in the same order as a
+  copy-on-every-step tape, so the results are bit-identical to one.
 * Broadcasting follows numpy semantics; :func:`_unbroadcast` reduces an
   output gradient back to a parent's shape.
 * Integer index arrays (for message passing ``gather`` / ``segment_sum``)
@@ -114,7 +122,8 @@ class Tensor:
         If True, ``backward()`` populates :attr:`grad` for this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op",
+                 "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False, _prev=(), _op: str = ""):
         if isinstance(data, Tensor):
@@ -122,6 +131,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=active_dtype())
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
         self._backward = None
         self._prev = tuple(p for p in _prev if isinstance(p, Tensor))
         self._op = _op
@@ -168,18 +178,48 @@ class Tensor:
     # autodiff machinery
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` (unbroadcast to this tensor's shape) into ``self.grad``.
+
+        A buffer this tensor owns is added into in place.  Assign an
+        array to ``.grad`` from outside only after :meth:`zero_grad`: the
+        tensor then borrows it and never writes into it.
+        """
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype),
                             self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            leaf = self._backward is None
+            self.grad = grad.copy() if leaf else grad
+            self._owns_grad = leaf
+        elif self._owns_grad:
+            self.grad += grad
         else:
             self.grad = self.grad + grad
+            self._owns_grad = True
+
+    def _accumulate_region(self, index, grad: np.ndarray) -> None:
+        """Add ``grad`` into ``self.grad[index]`` for a basic ``index``.
+
+        The adjoint of a basic-index read: the region is written straight
+        into an owned buffer, instead of scattering into a zeroed
+        full-size array and adding that.  Basic indices never repeat an
+        element, so this equals the ``np.add.at`` scatter.
+        """
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        elif not self._owns_grad:
+            self.grad = self.grad.copy()
+        self._owns_grad = True
+        self.grad[index] += grad
 
     def zero_grad(self) -> None:
         self.grad = None
+        self._owns_grad = False
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Run reverse-mode autodiff from this tensor.
+
+        Leaf grads accumulate across calls; a non-leaf's grad is freed
+        (``None``) once its closure has passed it on.
 
         Parameters
         ----------
@@ -188,9 +228,9 @@ class Tensor:
         """
         topo: list[Tensor] = []
         visited: set[int] = set()
-        stack_ = [self]
         # Iterative DFS (deep graphs from K-layer GNNs + LSTMs would
-        # overflow Python's recursion limit).
+        # overflow Python's recursion limit).  The reversed post-order
+        # fixes the order in which every grad receives its contributions.
         post: list[tuple[Tensor, bool]] = [(self, False)]
         while post:
             node, processed = post.pop()
@@ -204,7 +244,6 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in visited:
                     post.append((parent, False))
-        del stack_
 
         if grad is None:
             grad = np.ones_like(self.data)
@@ -212,13 +251,27 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     @staticmethod
     def _result(data, parents, op, backward):
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, _prev=parents if requires else (), _op=op)
-        if requires:
-            out._backward = backward
+        dtype = active_dtype()
+        if type(data) is not np.ndarray or data.dtype is not dtype:
+            data = np.asarray(data, dtype=dtype)
+        out = object.__new__(Tensor)
+        out.data = data
+        out.grad = None
+        out._owns_grad = False
+        out._op = op
+        requires = False
+        if _GRAD_ENABLED.get():
+            for p in parents:
+                if p.requires_grad:
+                    requires = True
+                    break
+        out.requires_grad = requires
+        out._prev = parents if requires else ()
+        out._backward = backward if requires else None
         return out
 
     # ------------------------------------------------------------------
@@ -429,7 +482,7 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
                 expanded = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(np.float64)
+            mask = (self.data == expanded).astype(self.data.dtype)
             # Split gradient evenly between ties for well-defined adjoints.
             denom = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate(g * mask / np.maximum(denom, 1.0))
@@ -495,9 +548,14 @@ class Tensor:
 
     def __getitem__(self, index):
         out_data = self.data[index]
+        basic = _is_basic_index(index)
 
         def backward(g):
-            if self.requires_grad:
+            if not self.requires_grad:
+                return
+            if basic:
+                self._accumulate_region(index, g)
+            else:
                 self._accumulate(_scatter_adjoint(self.data, index, g))
 
         return Tensor._result(out_data, (self,), "getitem", backward)
@@ -510,6 +568,19 @@ def as_tensor(value) -> Tensor:
     return Tensor(value)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is a numpy *basic* index: ints, slices, ``None``
+    and ``Ellipsis`` (alone or in a tuple).  Booleans are advanced."""
+    items = index if type(index) is tuple else (index,)
+    for item in items:
+        if item is None or item is Ellipsis or type(item) is slice:
+            continue
+        if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
+            continue
+        return False
+    return True
+
+
 def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarray:
     """Scatter-add ``g`` back onto a zeroed copy of ``target_data``'s shape.
 
@@ -520,8 +591,9 @@ def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarra
     selections) and serves them through a cached
     :class:`~repro.nn.segment.SegmentPlan` — bit-identical to
     ``np.add.at`` but an order of magnitude faster on the hot paths.
-    Everything else (slices, boolean masks, multi-dimensional fancy
-    indexing) keeps the plain ``np.add.at`` scatter.  Repetition is
+    Everything else (boolean masks, multi-dimensional fancy indexing;
+    basic indices take :meth:`Tensor._accumulate_region`) keeps the plain
+    ``np.add.at`` scatter.  Repetition is
     detected by *storage* identity, so an index array reused across calls
     must not be mutated in place between them (see
     :func:`repro.nn.segment._scatter_add_plan`).

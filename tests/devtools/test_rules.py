@@ -40,7 +40,8 @@ def fixture_config(**overrides) -> LintConfig:
         lock_hierarchy=FIXTURE_HIERARCHY,
         wallclock_allowlist=frozenset(),
         globals_allowlist=frozenset(),
-        autograd_modules=("bad_autograd.py", "bad_opreg.py"),
+        autograd_modules=("bad_autograd.py", "bad_autograd_region.py",
+                          "bad_opreg.py"),
         ops_module="bad_opreg.py",
         parity_fast_module="bad_parity.py",
         parity_reference_module="parity_reference.py",  # absent on purpose
@@ -131,6 +132,12 @@ class TestREP004Autograd:
         assert len(found) == 3
         assert any("accumulates into 'y'" in m for m in found)
         assert sum("no _backward" in m for m in found) == 2
+
+    def test_region_accumulation_checked_against_parents(self):
+        found = messages(run("REP004"), "bad_autograd_region.py")
+        assert len(found) == 1
+        assert "slice_of_other" in found[0]
+        assert "accumulates into 'base'" in found[0]
 
     def test_registry_impl_violations_caught(self):
         found = messages(run("REP004"), "bad_opreg.py")

@@ -91,6 +91,83 @@ class TestAdam:
         assert a.data[0] < 1.0 and b.data[0] < 2.0
 
 
+class ReferenceAdam:
+    """Adam as a per-parameter loop with one moment pair per parameter."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0):
+        self.params, self.lr, self.eps = params, lr, eps
+        self.beta1, self.beta2 = betas
+        self.weight_decay = weight_decay
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is None or not p.requires_grad:
+                continue
+            g = p.grad
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data -= self.lr * update
+
+
+class TestFlatAdamMatchesReferenceLoop:
+    SHAPES = [(3, 4), (), (5,), (2, 3, 2), (1,)]
+
+    def run_both(self, live_schedule, weight_decay=0.0, frozen=()):
+        rng = np.random.default_rng(7)
+        init = [rng.standard_normal(shape) for shape in self.SHAPES]
+        flat = [Parameter(x.copy()) for x in init]
+        loop = [Parameter(x.copy()) for x in init]
+        for i in frozen:
+            flat[i].requires_grad = loop[i].requires_grad = False
+        opt = Adam(flat, lr=0.05, weight_decay=weight_decay)
+        ref = ReferenceAdam(loop, lr=0.05, weight_decay=weight_decay)
+        for live in live_schedule:
+            for i, shape in enumerate(self.SHAPES):
+                g = rng.standard_normal(shape) if i in live else None
+                flat[i].grad = None if g is None else g.copy()
+                loop[i].grad = g
+            opt.step()
+            ref.step()
+        return opt, ref, flat, loop
+
+    def assert_same(self, opt, ref, flat, loop):
+        for a, b in zip(flat, loop):
+            assert np.array_equal(a.data, b.data)
+        m = np.concatenate([x.ravel() for x in ref.m])
+        v = np.concatenate([x.ravel() for x in ref.v])
+        assert np.array_equal(opt._m, m) and np.array_equal(opt._v, v)
+
+    def test_all_parameters_live(self):
+        everyone = set(range(len(self.SHAPES)))
+        self.assert_same(*self.run_both([everyone] * 6))
+
+    def test_partial_live_sets_leave_moments_untouched(self):
+        schedule = [{0, 2}, {1, 3, 4}, set(), {0, 1, 2, 3, 4}, {4}, {0, 3}]
+        self.assert_same(*self.run_both(schedule))
+
+    def test_weight_decay(self):
+        schedule = [{0, 1, 2, 3, 4}, {0, 2, 4}, {1, 3}] * 2
+        self.assert_same(*self.run_both(schedule, weight_decay=0.01))
+
+    def test_frozen_parameter_with_a_grad_is_skipped(self):
+        everyone = set(range(len(self.SHAPES)))
+        opt, ref, flat, loop = self.run_both([everyone] * 3, frozen=(1,))
+        self.assert_same(opt, ref, flat, loop)
+        assert opt._m[12] == 0.0  # the frozen scalar's moment
+
+
 class TestClipGradNorm:
     def test_no_clip_below_threshold(self):
         p = Parameter(np.array([1.0]))
