@@ -12,10 +12,14 @@ Times the three hot paths this layer optimizes and emits
 3. **DataLoader iteration** — cached collation (collate once, shuffle
    batch order) vs fresh per-epoch collation.
 
+The snapshot records its ``environment``: ``cpu_count``, the BLAS
+thread variables, the C compiler and whether the compiled kernels
+loaded.
+
 Run modes:
 
-* ``python benchmarks/bench_search_throughput.py`` — full config, writes
-  the JSON snapshot next to this file.
+* ``OPENBLAS_NUM_THREADS=1 python benchmarks/bench_search_throughput.py``
+  — full config, writes the JSON snapshot next to this file.
 * ``pytest benchmarks/bench_search_throughput.py`` — quick config,
   asserts the speedup/equivalence contract, does not overwrite the
   snapshot (set ``REPRO_BENCH_WRITE=1`` to write it; set
@@ -131,6 +135,31 @@ def bench_loader(dataset_size=120, batch_size=32, epochs=5, repeats=3, seed=0):
     }
 
 
+#: Environment variables that set the BLAS thread pool size.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+
+def environment():
+    """What the timings depend on besides the code: cores, the BLAS
+    thread setting, and whether the compiled kernels were available
+    (the default ``compiled`` backend falls back to ``reduceat``
+    without a C compiler)."""
+    from repro.nn import active_backend
+    from repro.nn.compiled import compiled_status
+
+    status = compiled_status()
+    compiler = status["compiler"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "compiler": os.path.basename(compiler) if compiler else None,
+        "compiled_state": status["state"],
+        "compiled_loaded": status["loaded"],
+        "kernel_backend": active_backend(),
+    }
+
+
 def run_benchmark(num_layers=5, emb_dim=32, dataset_size=120, batch_size=32,
                   repeats=5, seed=0):
     config = {
@@ -141,13 +170,17 @@ def run_benchmark(num_layers=5, emb_dim=32, dataset_size=120, batch_size=32,
         "repeats": repeats,
         "seed": seed,
     }
+    supernet_forward = bench_supernet_forward(
+        num_layers, emb_dim, dataset_size, batch_size, repeats, seed)
+    loader = bench_loader(dataset_size, batch_size,
+                          repeats=max(repeats // 2, 1), seed=seed)
     return {
         "benchmark": "search_throughput",
         "config": config,
-        "supernet_forward": bench_supernet_forward(
-            num_layers, emb_dim, dataset_size, batch_size, repeats, seed),
-        "loader": bench_loader(dataset_size, batch_size, repeats=max(repeats // 2, 1),
-                               seed=seed),
+        # Read after the runs: the kernel library loads at first use.
+        "environment": environment(),
+        "supernet_forward": supernet_forward,
+        "loader": loader,
     }
 
 

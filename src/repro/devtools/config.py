@@ -46,7 +46,8 @@ class LintConfig:
     #: op registry's differentiable implementations must resolve into
     #: this set.
     autograd_modules: tuple = ("nn/tensor.py", "nn/segment.py", "nn/ops.py",
-                               "nn/rnn.py", "nn/compiled/kernels.py")
+                               "nn/rnn.py", "nn/layers.py",
+                               "nn/compiled/kernels.py")
 
     #: the declarative op-registry module (REP004/REP005/REP008 parse its
     #: register()/register_backend() calls statically via

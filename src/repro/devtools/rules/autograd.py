@@ -18,7 +18,9 @@ for.  Checks, per ``Tensor._result`` call:
 * every receiver of ``._accumulate(...)`` or ``._accumulate_region(...)``
   inside that closure appears in the parents tuple — directly by name,
   or as a loop variable drawn (possibly via ``zip``) from a collection
-  passed as ``tuple(coll)``.
+  passed as ``tuple(coll)``.  The tensor arguments of a shared adjoint
+  helper (``_matmul_adjoint(a, b, g)``, which accumulates into ``a``
+  and ``b``) count as receivers too.
 
 Registry consistency: every *differentiable* implementation registered
 in the op table (``config.ops_module``, parsed via
@@ -101,15 +103,28 @@ def _loop_sources(backward_node) -> dict:
 _ACCUMULATORS = frozenset({"_accumulate", "_accumulate_region"})
 
 
+#: Shared adjoint helpers -> positions of the tensor arguments they
+#: accumulate into.
+_ADJOINT_HELPERS = {"_matmul_adjoint": (0, 1)}
+
+
 def _accumulate_receivers(backward_node):
     """Yield (name, lineno) for every ``name._accumulate(...)`` or
-    ``name._accumulate_region(...)`` call."""
+    ``name._accumulate_region(...)`` call, and for every name passed as
+    a receiving argument of an adjoint helper."""
     for node in ast.walk(backward_node):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _ACCUMULATORS
-                and isinstance(node.func.value, ast.Name)):
-            yield node.func.value.id, node.lineno
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute)
+                and func.attr in _ACCUMULATORS
+                and isinstance(func.value, ast.Name)):
+            yield func.value.id, node.lineno
+        elif isinstance(func, ast.Name) and func.id in _ADJOINT_HELPERS:
+            for position in _ADJOINT_HELPERS[func.id]:
+                if position < len(node.args) \
+                        and isinstance(node.args[position], ast.Name):
+                    yield node.args[position].id, node.lineno
 
 
 def _local_defs(func_node) -> dict:

@@ -149,23 +149,24 @@ SOURCE = (_PRELUDE
           + _instantiate("double", "f64")
           + _instantiate("float", "f32"))
 
-_F64 = ctypes.POINTER(ctypes.c_double)
-_F32 = ctypes.POINTER(ctypes.c_float)
-_I64 = ctypes.POINTER(ctypes.c_longlong)
+#: Every pointer argument is a raw address: the wrappers in
+#: :mod:`.kernels` check each operand's dtype and contiguity before
+#: taking it, which spares ctypes a per-call ``POINTER`` cast.
+_PTR = ctypes.c_void_p
 _SIZE = ctypes.c_ssize_t
 
 
-def _signatures_for(ptr, suffix):
+def _signatures_for(suffix):
     return {
-        f"segment_sum_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE),
-        f"segment_max_{suffix}": (ptr, _I64, _I64, ptr, _SIZE, _SIZE),
-        f"scatter_add_{suffix}": (ptr, _I64, ptr, _SIZE, _SIZE, _SIZE),
-        f"lstm_gates_{suffix}": (ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        f"segment_sum_{suffix}": (_PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE),
+        f"segment_max_{suffix}": (_PTR, _PTR, _PTR, _PTR, _SIZE, _SIZE),
+        f"scatter_add_{suffix}": (_PTR, _PTR, _PTR, _SIZE, _SIZE, _SIZE),
+        f"lstm_gates_{suffix}": (_PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
                                  _SIZE, _SIZE),
-        f"lstm_combine_{suffix}": (ptr, ptr, ptr, ptr, ptr, _SIZE),
-        f"lstm_output_{suffix}": (ptr, ptr, ptr, _SIZE),
+        f"lstm_combine_{suffix}": (_PTR, _PTR, _PTR, _PTR, _PTR, _SIZE),
+        f"lstm_output_{suffix}": (_PTR, _PTR, _PTR, _SIZE),
     }
 
 
 #: exported symbol -> ctypes argtypes; restype is always None.
-SIGNATURES = {**_signatures_for(_F64, "f64"), **_signatures_for(_F32, "f32")}
+SIGNATURES = {**_signatures_for("f64"), **_signatures_for("f32")}

@@ -19,8 +19,6 @@ plan-backed (reduceat) implementations exactly:
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 
 from . import build
@@ -30,9 +28,7 @@ from ..policy import active_dtype, active_workspace
 from ..tensor import Tensor, as_tensor, is_grad_enabled
 
 _SUFFIXES = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
-_POINTERS = {np.dtype(np.float64): ctypes.POINTER(ctypes.c_double),
-             np.dtype(np.float32): ctypes.POINTER(ctypes.c_float)}
-_I64_P = ctypes.POINTER(ctypes.c_longlong)
+_INT64 = np.dtype(np.int64)
 
 
 def _kernel(name, dtype):
@@ -47,11 +43,21 @@ def _kernel(name, dtype):
 
 
 def _fp(array):
-    return array.ctypes.data_as(_POINTERS[array.dtype])
+    """Raw address of a C-contiguous float64/float32 kernel operand."""
+    if array.dtype not in _SUFFIXES or not array.flags.c_contiguous:
+        raise TypeError(f"compiled kernels take C-contiguous float64 or "
+                        f"float32 buffers, not {array.dtype} "
+                        f"(contiguous={array.flags.c_contiguous})")
+    return array.ctypes.data
 
 
 def _ip(array):
-    return array.ctypes.data_as(_I64_P)
+    """Raw address of a C-contiguous int64 index operand."""
+    if array.dtype != _INT64 or not array.flags.c_contiguous:
+        raise TypeError(f"compiled kernels take C-contiguous int64 "
+                        f"indices, not {array.dtype} "
+                        f"(contiguous={array.flags.c_contiguous})")
+    return array.ctypes.data
 
 
 def _plan_index(plan):

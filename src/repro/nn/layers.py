@@ -18,7 +18,8 @@ import numpy as np
 from . import init
 from .functional import dropout as dropout_fn
 from .module import Module, Parameter
-from .tensor import Tensor, gather
+from .policy import active_dtype
+from .tensor import Tensor, _matmul_adjoint, gather
 
 __all__ = [
     "Linear",
@@ -50,10 +51,26 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_dim,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """``x @ W + b`` as one tape node: the matmul, then the bias
+        added in place.  The adjoint runs the composed ``add`` and
+        ``matmul`` adjoints in their tape order (bias sum, then the
+        two products), so gradients are bit-identical to the two-node
+        composition."""
+        weight, bias = self.weight, self.bias
+        if bias is None:
+            return x @ weight
+        dtype = active_dtype()
+        out = x.data @ weight.data
+        if out.dtype != dtype:
+            out = out.astype(dtype)
+        out += bias.data
+
+        def backward(g):
+            if bias.requires_grad:
+                bias._accumulate(g)
+            _matmul_adjoint(x, weight, g)
+
+        return Tensor._result(out, (x, weight, bias), "linear", backward)
 
 
 class Embedding(Module):
@@ -128,8 +145,38 @@ class BatchNorm1d(Module):
         self.register_buffer("running_var", np.ones(dim))
 
     def _normalize(self, x: Tensor, mean: np.ndarray, var: np.ndarray) -> Tensor:
-        inv_std = Tensor(1.0 / np.sqrt(var + self.eps))
-        return (x - Tensor(mean)) * inv_std * self.gamma + self.beta
+        """``((x - mean) * inv_std) * gamma + beta`` as one tape node.
+
+        ``mean`` and ``var`` are constants (no gradient flows into the
+        statistics).  The forward rounds as the composed ops do, in
+        place where the values allow; the adjoint repeats their
+        arithmetic in tape order: ``beta``, then ``gamma``, then ``x``.
+        """
+        gamma, beta = self.gamma, self.beta
+        dtype = active_dtype()
+        neg_mean = -np.asarray(mean, dtype=dtype)
+        inv_std = np.asarray(1.0 / np.sqrt(var + self.eps), dtype=dtype)
+        t1 = x.data + neg_mean
+        if t1.dtype != dtype:
+            t1 = t1.astype(dtype)
+        t1 *= inv_std
+        out = t1 * gamma.data
+        if out.dtype != dtype:
+            out = out.astype(dtype)
+        out += beta.data
+
+        def backward(g):
+            if beta.requires_grad:
+                beta._accumulate(g)
+            if gamma.requires_grad:
+                gamma._accumulate(g * t1)
+            if x.requires_grad:
+                scaled = g * gamma.data
+                if scaled.dtype != t1.dtype:
+                    scaled = scaled.astype(t1.dtype)
+                x._accumulate(scaled * inv_std)
+
+        return Tensor._result(out, (x, gamma, beta), "batch_norm", backward)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training and x.shape[0] > 1:
@@ -146,9 +193,7 @@ class BatchNorm1d(Module):
             # Centering uses batch stats as constants: this matches the usual
             # "evaluation-style" BN gradient approximation and keeps the tape
             # small; at our scale the ranking behaviour is unaffected.
-            centered = x - Tensor(batch_mean)
-            inv_std = Tensor(1.0 / np.sqrt(batch_var + self.eps))
-            return centered * inv_std * self.gamma + self.beta
+            return self._normalize(x, batch_mean, batch_var)
         return self._normalize(x, self.running_mean, self.running_var)
 
 

@@ -7,8 +7,9 @@ registered here exactly once, with:
 
 * its **per-backend implementations** (``reduceat`` = the plan-backed
   kernels in :mod:`repro.nn.segment`, ``legacy`` = the ``np.add.at``
-  reference ops in :mod:`repro.nn.tensor`, and a declared-but-empty
-  ``compiled`` slot for the future C kernel backend);
+  reference ops in :mod:`repro.nn.tensor`, and ``compiled`` = the C
+  kernels of :mod:`repro.nn.compiled`, filled at import when a compiler
+  is found);
 * its **adjoint** (a one-line statement of the backward rule — consumed
   by humans and by the REP008 lint, which refuses registrations without
   one);
@@ -132,8 +133,8 @@ class OpRegistry:
 
     Backends form a fallback chain: resolving ``(op, backend)`` walks
     ``backend -> fallback -> ...`` until an implementation is found, so a
-    partially-implemented backend (the ``compiled`` slot today) serves
-    the ops it has and inherits the rest.  Resolution happens once per
+    partially-implemented backend (``compiled``) serves the ops it has
+    and inherits the rest.  Resolution happens once per
     ``(op, backend)`` pair; dispatchers then run on a plain dict hit.
     """
 
@@ -248,9 +249,10 @@ class OpRegistry:
 
     def backends(self) -> tuple:
         """Backends with at least one direct implementation (declaration
-        order) — what the parity/gradcheck suites iterate over.  Declared
-        empty slots (``compiled``) are excluded: they dispatch through
-        their fallback and would only duplicate its coverage."""
+        order) — what the parity/gradcheck suites iterate over.  A
+        declared but unfilled slot (``compiled`` without a compiler) is
+        excluded: it dispatches through its fallback and would only
+        duplicate its coverage."""
         implemented = set()
         for entry in self._ops.values():
             implemented.update(entry.impls)
@@ -323,9 +325,12 @@ OP_REGISTRY.register_backend(
 #: process-global stack makes ``use_backend`` compose across threads: a
 #: differential test pinning the legacy backend in one thread cannot
 #: reroute forwards running concurrently on serving workers.  Fresh
-#: threads start from the default ("reduceat") backend.
+#: threads start from the default ("compiled") backend, which resolves
+#: to ``reduceat`` for every op the C kernels do not serve, and for all
+#: of them in a process without a compiler or with
+#: ``REPRO_COMPILED_DISABLE`` set.
 _ACTIVE_BACKEND: contextvars.ContextVar[str] = contextvars.ContextVar(
-    "repro_segment_backend", default="reduceat")
+    "repro_segment_backend", default="compiled")
 
 
 def active_backend() -> str:
@@ -336,11 +341,13 @@ def active_backend() -> str:
 class use_backend:
     """Context manager selecting the kernel-op backend.
 
-    ``"reduceat"`` (default) is the plan-backed fast path; ``"legacy"``
-    routes through the ``np.add.at`` reference implementations in
-    :mod:`repro.nn.tensor` for differential testing; ``"compiled"`` is a
-    declared slot that falls back to ``reduceat`` until the C backend
-    lands.  Any name must be declared in :data:`OP_REGISTRY`.
+    ``"compiled"`` (default) runs the bit-identical C kernels of
+    :mod:`repro.nn.compiled` and falls back to ``reduceat`` for ops
+    they do not cover or when no kernel library can be built;
+    ``"reduceat"`` is the plan-backed numpy path; ``"legacy"`` routes
+    through the ``np.add.at`` reference implementations in
+    :mod:`repro.nn.tensor` for differential testing.  Any name must be
+    declared in :data:`OP_REGISTRY`.
 
     The selection is context-local (``contextvars``), so it only affects
     the entering thread; one instance may be re-entered / nested.

@@ -6,16 +6,18 @@ representations and produces attention scores over layers.  Set2Set
 (Vinyals et al., 2015) runs an LSTM over processing steps with content-based
 attention over nodes.
 
-The step math lives in two places that must stay in lockstep:
+The step math lives in two places that must agree bit for bit:
 
 * :func:`_lstm_scan_reference` — the tape composition registered as the
-  ``lstm_scan`` op's legacy/reference implementation.  Inference-time
-  forwards (``no_grad``) route through the ``lstm_scan`` dispatcher, so
-  the compiled backend's fused C scan can take over when selected.
-* The inline loops below — used whenever gradients are being recorded.
-  They build the exact same tape the reference scan would, without the
-  ``stack``/``getitem`` hops, so training trajectories are bitwise
-  unchanged from before the scan op existed.
+  ``lstm_scan`` op's reference implementation.  Inference-time forwards
+  (``no_grad``) route through the ``lstm_scan`` dispatcher, where the
+  default ``compiled`` backend's fused C scan serves them.
+* :func:`_lstm_cell` — the step whenever gradients are being recorded:
+  three tape nodes (gates, cell state, hidden state) instead of the
+  composition's seventeen.  Their adjoints repeat the composed
+  arithmetic op for op, and their parents are ordered so the tape
+  reaches every input in the composition's order, so training
+  trajectories stay byte-identical to the composed tape.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, as_tensor, concatenate, is_grad_enabled, stack
+from .policy import active_dtype
+from .tensor import (Tensor, _matmul_adjoint, _sigmoid, _sigmoid_adjoint,
+                     _tanh_adjoint, as_tensor, concatenate, is_grad_enabled,
+                     stack)
 
 
 __all__ = ["LSTMCell", "LSTM"]
@@ -71,6 +76,69 @@ def _lstm_scan_reference(x, w_x, w_h, bias, h0=None, c0=None,
     return out
 
 
+def _lstm_cell(x, w_x, m2, bias, c, hidden):
+    """One grad-mode LSTM step on ``(batch, input_dim)`` rows as three
+    tape nodes; returns ``(h', c')``.
+
+    ``G`` holds the gates ``(x @ w_x + m2) + bias`` (``m2 = h @ w_h``
+    stays its own matmul node), ``C`` the next cell state and ``H`` the
+    next hidden state.  Each adjoint repeats the composed cell's
+    arithmetic through the helpers ``Tensor.__matmul__``, ``sigmoid``
+    and ``tanh`` use themselves, and gate regions land in a zeroed
+    buffer through ``_accumulate_region``, as the composed slice
+    adjoints do.  The parents ``G (x, w_x, m2, bias)``,
+    ``C (c, G)``, ``H (G, C)`` make the tape's depth-first walk reach
+    the external inputs in the composed cell's order, which keeps every
+    gradient's add order.
+    """
+    dtype = active_dtype()
+    gates = x.data @ w_x.data
+    if gates.dtype != dtype:
+        gates = gates.astype(dtype)
+    gates += m2.data
+    gates += bias.data
+
+    def backward_gates(g):
+        if bias.requires_grad:
+            bias._accumulate(g)
+        if m2.requires_grad:
+            m2._accumulate(g)
+        _matmul_adjoint(x, w_x, g)
+
+    G = Tensor._result(gates, (x, w_x, m2, bias), "lstm_gates",
+                       backward_gates)
+    i_slice = (slice(None), slice(0, hidden))
+    f_slice = (slice(None), slice(hidden, 2 * hidden))
+    g_slice = (slice(None), slice(2 * hidden, 3 * hidden))
+    o_slice = (slice(None), slice(3 * hidden, 4 * hidden))
+    i = _sigmoid(gates[i_slice])
+    f = _sigmoid(gates[f_slice])
+    cand = np.tanh(gates[g_slice])
+    o = _sigmoid(gates[o_slice])
+    c_data = c.data
+
+    def backward_c(g):
+        if G.requires_grad:
+            G._accumulate_region(f_slice, _sigmoid_adjoint(g * c_data, f))
+            G._accumulate_region(i_slice, _sigmoid_adjoint(g * cand, i))
+            G._accumulate_region(g_slice, _tanh_adjoint(g * i, cand))
+        if c.requires_grad:
+            c._accumulate(g * f)
+
+    C = Tensor._result(f * c_data + i * cand, (c, G), "lstm_cell_state",
+                       backward_c)
+    tanh_c = np.tanh(C.data)
+
+    def backward_h(g):
+        if G.requires_grad:
+            G._accumulate_region(o_slice, _sigmoid_adjoint(g * tanh_c, o))
+        if C.requires_grad:
+            C._accumulate(_tanh_adjoint(g * o, tanh_c))
+
+    H = Tensor._result(o * tanh_c, (G, C), "lstm_hidden", backward_h)
+    return H, C
+
+
 class LSTMCell(Module):
     """A single LSTM step: ``(x, h, c) -> (h', c')``."""
 
@@ -87,15 +155,8 @@ class LSTMCell(Module):
 
     def forward(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
         if is_grad_enabled():
-            gates = x @ self.w_x + h @ self.w_h + self.bias
-            hd = self.hidden_dim
-            i = gates[:, 0 * hd:1 * hd].sigmoid()
-            f = gates[:, 1 * hd:2 * hd].sigmoid()
-            g = gates[:, 2 * hd:3 * hd].tanh()
-            o = gates[:, 3 * hd:4 * hd].sigmoid()
-            c_next = f * c + i * g
-            h_next = o * c_next.tanh()
-            return h_next, c_next
+            return _lstm_cell(x, self.w_x, h @ self.w_h, self.bias, c,
+                              self.hidden_dim)
         # Inference: a one-step scan through the dispatcher, so the
         # compiled backend's fused kernel serves Set2Set's step loop.
         from .ops import lstm_scan

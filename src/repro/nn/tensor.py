@@ -349,16 +349,7 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(g):
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(np.outer(g, other.data) if g.ndim else g * other.data)
-                else:
-                    self._accumulate(g @ other.data.swapaxes(-1, -2))
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, g))
-                else:
-                    other._accumulate(self.data.swapaxes(-1, -2) @ g)
+            _matmul_adjoint(self, other, g)
 
         return Tensor._result(out_data, (self, other), "matmul", backward)
 
@@ -397,16 +388,16 @@ class Tensor:
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data ** 2))
+                self._accumulate(_tanh_adjoint(g, out_data))
 
         return Tensor._result(out_data, (self,), "tanh", backward)
 
     def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        out_data = _sigmoid(self.data)
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
+                self._accumulate(_sigmoid_adjoint(g, out_data))
 
         return Tensor._result(out_data, (self,), "sigmoid", backward)
 
@@ -561,6 +552,44 @@ class Tensor:
         return Tensor._result(out_data, (self,), "getitem", backward)
 
 
+# The arithmetic of the ops below is shared with the fused tape nodes in
+# :mod:`repro.nn.layers` and :mod:`repro.nn.rnn`, whose gradients must
+# stay byte-identical to the composed ops: one copy of each expression
+# fixes its rounding and add order for both.
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function, rounded as :meth:`Tensor.sigmoid` does."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _sigmoid_adjoint(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Adjoint of ``sigmoid`` under ``g``, given its output ``s``."""
+    return g * s * (1.0 - s)
+
+
+def _tanh_adjoint(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Adjoint of ``tanh`` under ``g``, given its output ``t``."""
+    return g * (1.0 - t ** 2)
+
+
+def _matmul_adjoint(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Accumulate the adjoint of ``a @ b`` under ``g``: into ``a``
+    first, then ``b``, with numpy's rank cases (a 1-D operand takes an
+    outer product)."""
+    if a.requires_grad:
+        b_data = b.data
+        if b_data.ndim == 1:
+            a._accumulate(np.outer(g, b_data) if g.ndim else g * b_data)
+        else:
+            a._accumulate(g @ b_data.swapaxes(-1, -2))
+    if b.requires_grad:
+        a_data = a.data
+        if a_data.ndim == 1:
+            b._accumulate(np.outer(a_data, g))
+        else:
+            b._accumulate(a_data.swapaxes(-1, -2) @ g)
+
+
 def as_tensor(value) -> Tensor:
     """Coerce ``value`` (Tensor, ndarray, scalar, list) to a :class:`Tensor`."""
     if isinstance(value, Tensor):
@@ -586,10 +615,11 @@ def _scatter_adjoint(target_data: np.ndarray, index, g: np.ndarray) -> np.ndarra
 
     The adjoint of ``x[index]`` / :func:`gather`.  For 1-D integer index
     arrays this dispatches through the registered ``scatter_add`` op
-    (:mod:`repro.nn.ops`), whose plan backend recognizes *repeated* index
-    arrays (embedding-id columns of cached batches, reused top-k
+    (:mod:`repro.nn.ops`): the default compiled backend accumulates in
+    index order in C, and the reduceat backend recognizes *repeated*
+    index arrays (embedding-id columns of cached batches, reused top-k
     selections) and serves them through a cached
-    :class:`~repro.nn.segment.SegmentPlan` — bit-identical to
+    :class:`~repro.nn.segment.SegmentPlan` — both bit-identical to
     ``np.add.at`` but an order of magnitude faster on the hot paths.
     Everything else (boolean masks, multi-dimensional fancy indexing;
     basic indices take :meth:`Tensor._accumulate_region`) keeps the plain

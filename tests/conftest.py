@@ -5,6 +5,8 @@ import pytest
 
 from repro.gnn import GNNEncoder
 from repro.graph import Batch, MoleculeGenerator, load_dataset
+from repro.nn import BatchNorm1d, Linear, LSTMCell, Tensor
+from repro.nn.tensor import is_grad_enabled
 
 
 @pytest.fixture
@@ -60,3 +62,48 @@ def gradcheck(fn, x_data, eps=1e-6, tol=1e-5):
     err = np.abs(analytic - numeric).max()
     assert err < tol, f"gradcheck failed: max abs err {err:.3e}"
     return err
+
+
+# ----------------------------------------------------------------------
+# Composed reference tapes of the fused layer nodes.  ``LSTMCell``
+# (grad mode), ``Linear`` and ``BatchNorm1d._normalize`` each build one
+# to three tape nodes whose adjoints must reproduce these multi-node
+# compositions byte for byte; the fused-node tests and the fit oracle
+# patch them in with ``use_composed_layers``.
+# ----------------------------------------------------------------------
+_FUSED_LSTM_CELL_FORWARD = LSTMCell.forward
+
+
+def _composed_lstm_cell_forward(self, x, h, c):
+    if not is_grad_enabled():
+        return _FUSED_LSTM_CELL_FORWARD(self, x, h, c)
+    gates = x @ self.w_x + h @ self.w_h + self.bias
+    hd = self.hidden_dim
+    i = gates[:, 0 * hd:1 * hd].sigmoid()
+    f = gates[:, 1 * hd:2 * hd].sigmoid()
+    g = gates[:, 2 * hd:3 * hd].tanh()
+    o = gates[:, 3 * hd:4 * hd].sigmoid()
+    c_next = f * c + i * g
+    h_next = o * c_next.tanh()
+    return h_next, c_next
+
+
+def _composed_linear_forward(self, x):
+    out = x @ self.weight
+    if self.bias is not None:
+        out = out + self.bias
+    return out
+
+
+def _composed_normalize(self, x, mean, var):
+    inv_std = Tensor(1.0 / np.sqrt(var + self.eps))
+    return (x - Tensor(mean)) * inv_std * self.gamma + self.beta
+
+
+def use_composed_layers(patch):
+    """Patch the composed tapes in (``patch`` is a monkeypatch): grad-mode
+    ``LSTMCell`` steps, ``Linear`` and ``BatchNorm1d``/``StochNorm1d``
+    normalization then build one tape node per elementary op."""
+    patch.setattr(LSTMCell, "forward", _composed_lstm_cell_forward)
+    patch.setattr(Linear, "forward", _composed_linear_forward)
+    patch.setattr(BatchNorm1d, "_normalize", _composed_normalize)

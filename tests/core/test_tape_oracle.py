@@ -1,4 +1,4 @@
-"""Trajectory oracle for the autograd tape's in-place accumulation.
+"""Trajectory oracles for the autograd tape.
 
 A seeded fit runs twice: under the tape as shipped, and under a
 copy-on-every-step oracle patched in for this test only — every first
@@ -6,6 +6,11 @@ grad copied, later grads summed into a fresh array, non-leaf grads kept
 after ``backward``, basic-index adjoints scattered with ``np.add.at``
 into zeros, and Adam stepped one parameter at a time.  Both runs must
 end with byte-equal parameters and loss histories.
+
+The fusion oracle does the same against the composed forwards of
+``LSTMCell``, ``Linear`` and ``BatchNorm1d`` (one tape node per
+elementary op, ``tests/conftest.py::use_composed_layers``), which the
+fused tape nodes must reproduce byte for byte.
 """
 
 import numpy as np
@@ -16,6 +21,7 @@ from repro.core.api import FineTuneConfig
 from repro.gnn import GNNEncoder
 from repro.nn import Adam, Tensor
 from repro.nn.tensor import _unbroadcast
+from tests.conftest import use_composed_layers
 
 pytestmark = pytest.mark.slow
 
@@ -119,6 +125,32 @@ def test_fit_matches_copying_tape_oracle(tiny_dataset, monkeypatch):
     assert list(state) == list(o_state)
     for name in state:
         assert np.array_equal(state[name], o_state[name]), name
+    assert np.array_equal(search_losses, o_search)
+    assert np.array_equal(train_losses, o_train)
+    assert np.array_equal(valid, o_valid)
+
+
+def test_fit_matches_composed_layers_oracle(tiny_dataset, monkeypatch):
+    fused_ops = {"lstm_gates": 0, "linear": 0, "batch_norm": 0}
+    result = Tensor._result
+
+    def counting_result(data, parents, op, backward):
+        if op in fused_ops:
+            fused_ops[op] += 1
+        return result(data, parents, op, backward)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tensor, "_result", staticmethod(counting_result))
+        state, search_losses, train_losses, valid = _fit(tiny_dataset)
+    assert all(fused_ops.values()), fused_ops
+
+    with monkeypatch.context() as patch:
+        use_composed_layers(patch)
+        o_state, o_search, o_train, o_valid = _fit(tiny_dataset)
+
+    assert list(state) == list(o_state)
+    for name in state:
+        assert state[name].tobytes() == o_state[name].tobytes(), name
     assert np.array_equal(search_losses, o_search)
     assert np.array_equal(train_losses, o_train)
     assert np.array_equal(valid, o_valid)

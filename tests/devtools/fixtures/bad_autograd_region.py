@@ -1,4 +1,5 @@
-"""REP004 fixture: a basic-index adjoint accumulating into a non-parent."""
+"""REP004 fixture: a basic-index adjoint and a shared adjoint helper
+accumulating into non-parents."""
 
 
 class Tensor:
@@ -23,3 +24,26 @@ def slice_of_other(x, base, index):
         base._accumulate_region(index, g)  # REP004: base is not a parent
 
     return Tensor._result(out, (x,), "getitem", backward)
+
+
+def _matmul_adjoint(a, b, g):
+    a._accumulate(g)
+    b._accumulate(g)
+
+
+def good_linear(x, weight):  # no findings: both helper receivers are parents
+    out = x @ weight
+
+    def backward(g):
+        _matmul_adjoint(x, weight, g)
+
+    return Tensor._result(out, (x, weight), "linear", backward)
+
+
+def linear_of_other(x, weight, other):
+    out = x @ weight
+
+    def backward(g):
+        _matmul_adjoint(x, other, g)  # REP004: other is not a parent
+
+    return Tensor._result(out, (x, weight), "linear", backward)

@@ -134,10 +134,18 @@ class TestREP004Autograd:
         assert sum("no _backward" in m for m in found) == 2
 
     def test_region_accumulation_checked_against_parents(self):
-        found = messages(run("REP004"), "bad_autograd_region.py")
+        found = [m for m in messages(run("REP004"), "bad_autograd_region.py")
+                 if "slice_of_other" in m]
         assert len(found) == 1
-        assert "slice_of_other" in found[0]
         assert "accumulates into 'base'" in found[0]
+
+    def test_adjoint_helper_receivers_checked_against_parents(self):
+        found = messages(run("REP004"), "bad_autograd_region.py")
+        assert len(found) == 2
+        helper, = [m for m in found if "linear_of_other" in m]
+        assert "accumulates into 'other'" in helper
+        assert not any("good_linear" in m or "good_slice" in m
+                       for m in found)
 
     def test_registry_impl_violations_caught(self):
         found = messages(run("REP004"), "bad_opreg.py")

@@ -243,8 +243,8 @@ class TestCompiledKernelParity:
         rng = np.random.default_rng(7)
         lstm = LSTM(5, 4, rng, bidirectional=bidirectional)
         steps = [Tensor(rng.normal(size=(3, 5))) for _ in range(4)]
-        # Grad mode keeps the original tape composition; no_grad routes
-        # through the fused scan. They must agree bitwise per backend.
+        # Grad mode runs the fused tape cell; no_grad routes through the
+        # fused scan. They must agree bitwise per backend.
         tape = [t.data.copy() for t in lstm(steps)]
         for backend in ("legacy", "reduceat", "compiled"):
             with no_grad(), use_backend(backend):
@@ -267,6 +267,26 @@ class TestCompiledKernelParity:
                 grads[backend] = (out.data.copy(), x.grad.copy())
             assert np.array_equal(grads["compiled"][0], grads["legacy"][0])
             assert np.array_equal(grads["compiled"][1], grads["legacy"][1])
+
+
+class TestOperandChecks:
+    """Kernels take raw addresses, so the wrappers refuse any buffer a C
+    loop would misread: a foreign dtype or a strided view."""
+
+    def test_float_operands(self):
+        assert _kernels._fp(np.zeros((3, 2))) != 0
+        assert _kernels._fp(np.zeros(3, dtype=np.float32)) != 0
+        with pytest.raises(TypeError):
+            _kernels._fp(np.zeros(3, dtype=np.int64))
+        with pytest.raises(TypeError):
+            _kernels._fp(np.zeros((3, 4))[:, ::2])
+
+    def test_index_operands(self):
+        assert _kernels._ip(np.arange(3, dtype=np.int64)) != 0
+        with pytest.raises(TypeError):
+            _kernels._ip(np.arange(3, dtype=np.int32))
+        with pytest.raises(TypeError):
+            _kernels._ip(np.arange(6, dtype=np.int64)[::2])
 
 
 def _encoder_factory():

@@ -175,13 +175,13 @@ class TestActiveBackendPlumbing:
         assert np.array_equal(out.data, expected.data)
 
     def test_nesting_restores_previous_backend(self):
-        assert nn.active_backend() == "reduceat"
+        assert nn.active_backend() == "compiled"
         with use_backend("legacy"):
             assert nn.active_backend() == "legacy"
             with use_backend("compiled"):
                 assert nn.active_backend() == "compiled"
             assert nn.active_backend() == "legacy"
-        assert nn.active_backend() == "reduceat"
+        assert nn.active_backend() == "compiled"
 
     def test_registry_is_exported_from_nn(self):
         assert nn.OP_REGISTRY is OP_REGISTRY

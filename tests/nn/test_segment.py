@@ -84,13 +84,13 @@ class TestSegmentPlan:
             as_plan(np.array([0, 1]))  # index array needs num_segments
 
     def test_backend_switch(self):
-        assert active_backend() == "reduceat"
+        assert active_backend() == "compiled"
         with use_backend("legacy"):
             assert active_backend() == "legacy"
             with use_backend("reduceat"):
                 assert active_backend() == "reduceat"
             assert active_backend() == "legacy"
-        assert active_backend() == "reduceat"
+        assert active_backend() == "compiled"
         with pytest.raises(ValueError):
             use_backend("cuda")
 

@@ -138,8 +138,8 @@ class TestBackendStateThreadIsolation:
     def test_fresh_thread_defaults_to_fast_backend(self):
         with use_backend("legacy"):
             assert active_backend() == "legacy"
-            assert run_in_thread(active_backend) == "reduceat"
-        assert active_backend() == "reduceat"
+            assert run_in_thread(active_backend) == "compiled"
+        assert active_backend() == "compiled"
 
     def test_legacy_thread_does_not_reroute_others(self):
         entered = threading.Event()
@@ -155,7 +155,7 @@ class TestBackendStateThreadIsolation:
         t = threading.Thread(target=lambda: box.update(r=worker()))
         t.start()
         assert entered.wait(timeout=10)
-        assert active_backend() == "reduceat"
+        assert active_backend() == "compiled"
         release.set()
         t.join()
         assert box["r"] == "legacy"
@@ -168,13 +168,21 @@ class TestBackendStateThreadIsolation:
                 with guard:
                     assert active_backend() == "legacy"
             assert active_backend() == "legacy"
-        assert active_backend() == "reduceat"
+        assert active_backend() == "compiled"
 
 
 class TestScatterPlanCache:
     def setup_method(self):
         with segment_mod._scatter_plan_lock:
             segment_mod._scatter_plans.clear()
+
+    @pytest.fixture(autouse=True)
+    def reduceat(self):
+        """The plan cache belongs to the reduceat backend, which still
+        serves every process without a compiler; the default compiled
+        backend scatters in C and never fills it."""
+        with use_backend("reduceat"):
+            yield
 
     def test_scatter_add_matches_add_at_bitwise(self, rng):
         ids = rng.integers(0, 50, size=2000)
@@ -259,6 +267,8 @@ class TestScatterPlanCache:
         g = rng.normal(size=(300, 2))
         np.add.at(expected, ids, g)
         scatter_add(g, ids, 10), scatter_add(g, ids, 10)
+        (_, plan), = segment_mod._scatter_plans.values()
+        assert plan is not None
         del ids  # plan's base dies; a new array may reuse the id()
         ids2 = (np.arange(300) % 10)[::-1].copy()
         expected2 = np.zeros((10, 2))
@@ -271,7 +281,8 @@ class TestScatterPlanCache:
         g = rng.normal(size=(50, 2))
         for ids in keep:
             scatter_add(g, ids, 5)
-        assert len(segment_mod._scatter_plans) <= segment_mod._SCATTER_PLAN_CAPACITY
+        assert 0 < len(segment_mod._scatter_plans) \
+            <= segment_mod._SCATTER_PLAN_CAPACITY
 
     def test_concurrent_scatter_adds_are_consistent(self, rng):
         ids = rng.integers(0, 40, size=3000)
@@ -284,9 +295,11 @@ class TestScatterPlanCache:
         def worker():
             try:
                 barrier.wait()
-                for _ in range(10):
-                    if not np.array_equal(scatter_add(g, ids, 40), expected):
-                        failures.append("mismatch")
+                with use_backend("reduceat"):  # backend state is per thread
+                    for _ in range(10):
+                        if not np.array_equal(scatter_add(g, ids, 40),
+                                              expected):
+                            failures.append("mismatch")
             except BaseException as err:  # pragma: no cover
                 failures.append(repr(err))
 
@@ -296,3 +309,5 @@ class TestScatterPlanCache:
         for t in threads:
             t.join()
         assert not failures
+        (_, plan), = segment_mod._scatter_plans.values()
+        assert plan is not None
